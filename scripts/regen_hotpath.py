@@ -107,8 +107,8 @@ def main():
             "description": (
                 "Committed hot-path baseline: whole-switch slots/sec on "
                 "the uniform Bernoulli workload over a size x load grid, "
-                "before and after the warm-start incremental matching + "
-                "batched slot driver work. Warm rows are compared "
+                "before and after the latest hot-path step (EXPERIMENTS.md, "
+                "'Performance methodology'). Warm rows are compared "
                 "against the cold base architecture on the same "
                 "workload. Wall-clock rates; machine-dependent -- "
                 "compare ratios, not absolutes."),

@@ -1,13 +1,12 @@
 /**
  * @file
- * Open-addressing map from small integer keys to arbitrary values —
- * the FlatCounts idiom (see an2/base/flat_counts.h) generalized to a
- * value template, built for per-flow bookkeeping on hot paths: looking
- * up or mutating a key already present performs no heap allocation, so
- * sizing the constructor hint to the expected key population keeps a
- * steady-state loop allocation-free after every key has been touched
- * once (asserted for the network delivery path in
- * tests/zero_alloc_test.cc).
+ * Open-addressing map from small integer keys to arbitrary values,
+ * built for per-flow bookkeeping on hot paths (flow-id indexes, per-flow
+ * delivery counters as FlatMap<int64_t>): looking up or mutating a key
+ * already present performs no heap allocation, so sizing the
+ * constructor hint to the expected key population keeps a steady-state
+ * loop allocation-free after every key has been touched once (asserted
+ * for the network delivery path in tests/zero_alloc_test.cc).
  *
  * The table doubles only when a *new* key pushes the load factor past
  * 1/2. Values must be default-constructible and are value-initialized

@@ -27,11 +27,65 @@ InputBuffer::flowSlot(FlowId f)
 }
 
 void
+InputBuffer::growSlab()
+{
+    // Free list dry: grow the slab (8, then doubling) and thread the new
+    // slots onto the free list, lowest index first.
+    const auto old_cap = static_cast<int32_t>(cells_.size());
+    const int32_t new_cap = old_cap == 0 ? 8 : 2 * old_cap;
+    cells_.resize(static_cast<size_t>(new_cap));
+    next_.resize(static_cast<size_t>(new_cap));
+    for (int32_t k = new_cap - 1; k >= old_cap; --k) {
+        next_[static_cast<size_t>(k)] = free_;
+        free_ = k;
+    }
+}
+
+inline void
+InputBuffer::pushCell(PerFlow& st, const Cell& cell)
+{
+    if (free_ < 0)
+        growSlab();
+    const int32_t k = free_;
+    free_ = next_[static_cast<size_t>(k)];
+    cells_[static_cast<size_t>(k)] = cell;
+    next_[static_cast<size_t>(k)] = -1;
+    if (st.head < 0)
+        st.head = k;
+    else
+        next_[static_cast<size_t>(st.tail)] = k;
+    st.tail = k;
+}
+
+inline Cell
+InputBuffer::popCell(PerFlow& st)
+{
+    const int32_t k = st.head;
+    AN2_ASSERT(k >= 0, "pop from an empty flow");
+    st.head = next_[static_cast<size_t>(k)];  // tail is stale once empty
+    next_[static_cast<size_t>(k)] = free_;
+    free_ = k;
+    return cells_[static_cast<size_t>(k)];
+}
+
+void
+InputBuffer::dropEligible(PortId out, int32_t slot)
+{
+    RingQueue<int32_t>& list = eligible_[static_cast<size_t>(out)];
+    for (size_t i = 0, sz = list.size(); i < sz; ++i) {
+        int32_t x = list.front();
+        list.pop_front();
+        if (x != slot)
+            list.push_back(x);
+    }
+}
+
+void
 InputBuffer::reconcileSole(PerOutput& po, PortId j)
 {
     AN2_ASSERT(po.sole > 0, "reconcile on an output that is not single-flow");
     PerFlow& prev = slots_[static_cast<size_t>(po.sole - 1)];
-    const bool should = !prev.cells.empty();
+    const bool should = !prev.empty();
     if (prev.eligible_listed != should) {
         auto& list = eligible_[static_cast<size_t>(j)];
         if (should) {
@@ -67,7 +121,7 @@ InputBuffer::enqueueAs(FlowId queue_key, const Cell& cell)
         if (st.flow == queue_key) {
             // Direct: the output's only flow. Its eligible seat from the
             // first enqueue still stands, so no list maintenance.
-            st.cells.push_back(cell);
+            pushCell(st, cell);
             ++total_cells_;
             if (++po.cells == 1)
                 wordset::setBit(occ_.data(), cell.output);
@@ -88,7 +142,7 @@ InputBuffer::enqueueAs(FlowId queue_key, const Cell& cell)
     AN2_REQUIRE(st.output == cell.output,
                 "queue " << queue_key << " routed to output " << st.output
                          << " but cell claims output " << cell.output);
-    st.cells.push_back(cell);
+    pushCell(st, cell);
     ++total_cells_;
     if (++po.cells == 1)
         wordset::setBit(occ_.data(), cell.output);
@@ -118,7 +172,7 @@ InputBuffer::eligibleFlowsFor(PortId j) const
     const auto& list = eligible_[static_cast<size_t>(j)];
     int n = 0;
     for (size_t k = 0; k < list.size(); ++k)
-        if (!slots_[static_cast<size_t>(list.at(k))].cells.empty())
+        if (!slots_[static_cast<size_t>(list.at(k))].empty())
             ++n;
     return n;
 }
@@ -134,16 +188,16 @@ InputBuffer::noteDequeued(PortId j)
 Cell
 InputBuffer::dequeueFor(PortId j)
 {
-    AN2_REQUIRE(hasCellFor(j), "no cell queued for output " << j);
+    AN2_REQUIRE(j >= 0 && j < n_outputs_, "output " << j << " out of range");
     PerOutput& po = per_output_[static_cast<size_t>(j)];
+    AN2_REQUIRE(po.cells > 0, "no cell queued for output " << j);
     if (po.sole > 0) {
         // Direct: the output's only flow owns every queued cell, and a
         // round-robin among one flow is the identity — skip the ring.
         PerFlow& st = slots_[static_cast<size_t>(po.sole - 1)];
-        AN2_ASSERT(!st.cells.empty(),
+        AN2_ASSERT(!st.empty(),
                    "single-flow count out of sync for output " << j);
-        Cell c = st.cells.front();
-        st.cells.pop_front();
+        Cell c = popCell(st);
         --total_cells_;
         if (--po.cells == 0)
             wordset::clearBit(occ_.data(), j);
@@ -156,15 +210,14 @@ InputBuffer::dequeueFor(PortId j)
         int32_t s = list.front();
         list.pop_front();
         PerFlow& st = slots_[static_cast<size_t>(s)];
-        if (st.cells.empty()) {
+        if (st.empty()) {
             // Stale entry left behind by dequeueFlow(); lazily discard.
             st.eligible_listed = false;
             continue;
         }
-        Cell c = st.cells.front();
-        st.cells.pop_front();
+        Cell c = popCell(st);
         noteDequeued(j);
-        if (!st.cells.empty()) {
+        if (!st.empty()) {
             list.push_back(s);  // round-robin: rotate to the back
         } else {
             st.eligible_listed = false;
@@ -178,7 +231,7 @@ InputBuffer::flowHasCell(FlowId f) const
 {
     const int32_t* idx = flow_index_.get(f);
     return idx != nullptr &&
-           !slots_[static_cast<size_t>(*idx - 1)].cells.empty();
+           !slots_[static_cast<size_t>(*idx - 1)].empty();
 }
 
 void
@@ -198,30 +251,22 @@ InputBuffer::rebindFlow(FlowId f, PortId new_output)
     // Drop the flow's seat in the old eligible list (stale entries from
     // dequeueFlow() included); the rotation keeps the others in order.
     if (st.eligible_listed) {
-        RingQueue<int32_t>& list = eligible_[static_cast<size_t>(old)];
-        for (size_t i = 0, sz = list.size(); i < sz; ++i) {
-            int32_t x = list.front();
-            list.pop_front();
-            if (x != slot)
-                list.push_back(x);
-        }
+        dropEligible(old, slot);
         st.eligible_listed = false;
     }
     PerOutput& po_old = per_output_[static_cast<size_t>(old)];
     if (po_old.sole == slot + 1)
         po_old.sole = 0;  // the old output loses its only flow
 
-    auto n = static_cast<int>(st.cells.size());
-    if (n == 0) {
+    if (st.empty()) {
         st.output = kNoPort;  // next enqueue binds fresh
         return;
     }
-    // Retag queued cells in place; a full rotation keeps FIFO order.
-    for (int i = 0; i < n; ++i) {
-        Cell c = st.cells.front();
-        st.cells.pop_front();
-        c.output = new_output;
-        st.cells.push_back(c);
+    // Retag queued cells in place along the flow's links.
+    int n = 0;
+    for (int32_t k = st.head; k >= 0; k = next_[static_cast<size_t>(k)]) {
+        cells_[static_cast<size_t>(k)].output = new_output;
+        ++n;
     }
     PerOutput& po_new = per_output_[static_cast<size_t>(new_output)];
     if ((po_old.cells -= n) == 0)
@@ -249,21 +294,15 @@ InputBuffer::purgeFlow(FlowId f)
     if (out == kNoPort)
         return 0;  // never bound (or already purged): nothing queued
     if (st.eligible_listed) {
-        RingQueue<int32_t>& list = eligible_[static_cast<size_t>(out)];
-        for (size_t i = 0, sz = list.size(); i < sz; ++i) {
-            int32_t x = list.front();
-            list.pop_front();
-            if (x != slot)
-                list.push_back(x);
-        }
+        dropEligible(out, slot);
         st.eligible_listed = false;
     }
     PerOutput& po = per_output_[static_cast<size_t>(out)];
     if (po.sole == slot + 1)
         po.sole = 0;  // the output loses its only flow
-    const auto n = static_cast<int>(st.cells.size());
-    while (!st.cells.empty())
-        st.cells.pop_front();
+    int n = 0;
+    for (; !st.empty(); ++n)
+        popCell(st);
     if (n > 0) {
         if ((po.cells -= n) == 0)
             wordset::clearBit(occ_.data(), out);
@@ -279,8 +318,12 @@ InputBuffer::dequeueFlow(FlowId f)
     AN2_REQUIRE(flowHasCell(f), "flow " << f << " has no queued cell");
     PerFlow& st =
         slots_[static_cast<size_t>(*flow_index_.get(f) - 1)];
-    Cell c = st.cells.front();
-    st.cells.pop_front();
+    // Leave the single-flow mode first (see voq.h): the frozen seat is
+    // exact now, while the flow still holds this cell.
+    PerOutput& po = per_output_[static_cast<size_t>(st.output)];
+    if (po.sole > 0)
+        reconcileSole(po, st.output);
+    Cell c = popCell(st);
     noteDequeued(c.output);
     // If the flow is now empty, its eligible-list entry (if any) becomes
     // stale and is discarded lazily by dequeueFor().

@@ -18,6 +18,16 @@
  * one linear-probe lookup, and dequeue — the matching-driven hot path —
  * touches no hash structure at all.
  *
+ * Cells do not live in per-flow containers: the input owns one pooled
+ * slab of cells with a parallel array of next-links, and each flow's
+ * FIFO is an intrusive singly linked list through that slab (head and
+ * tail indices in the flow's record). Freed cells go on a LIFO free
+ * list, so the slot a dequeue releases is the next enqueue's and stays
+ * cache-hot. The slab reserves nothing up front; it grows to 8 cells on
+ * first use and doubles when the free list runs dry, so its size tracks
+ * the input's peak occupancy rather than the number of flows, and a run
+ * whose occupancy has stopped rising never allocates again.
+ *
  * Single-flow fast path: most workloads route exactly one flow to each
  * (input, output) pair, so each per-output record carries the slot of
  * the *sole* flow bound to that output (sticky: it degrades to "many"
@@ -26,6 +36,9 @@
  * the eligible ring entirely — the round-robin among one flow is the
  * identity — and the transition to many flows restores the eligible
  * list to exactly the state the general path would have maintained.
+ * dequeueFlow() on a single-flow output ends the mode too: a seat it
+ * leaves stale looks the same as one the direct dequeue emptied, and
+ * the general path treats the two differently.
  */
 #ifndef AN2_QUEUEING_VOQ_H
 #define AN2_QUEUEING_VOQ_H
@@ -118,15 +131,19 @@ class InputBuffer
      */
     int purgeFlow(FlowId f);
 
+    /** Cells the slab can hold before it next grows. */
+    int cellCapacity() const { return static_cast<int>(cells_.size()); }
+
   private:
     struct PerFlow
     {
-        /** Per-flow FIFO; a ring so steady-state churn never allocates
-            (std::deque slides through 512-byte blocks as it rotates). */
-        RingQueue<Cell> cells;
-        bool eligible_listed = false;  ///< present in an eligible list
+        int32_t head = -1;  ///< slab index of the oldest cell; -1 = empty
+        int32_t tail = -1;  ///< slab index of the newest (iff head >= 0)
         PortId output = kNoPort;       ///< the flow's routed output
         FlowId flow = kNoFlow;         ///< the flow this slot belongs to
+        bool eligible_listed = false;  ///< present in an eligible list
+
+        bool empty() const { return head < 0; }
     };
 
     /**
@@ -144,6 +161,20 @@ class InputBuffer
 
     /** Index into slots_ for flow f, creating the slot on first touch. */
     int32_t flowSlot(FlowId f);
+
+    /** Thread a fresh block of slab slots onto the empty free list. */
+    void growSlab();
+
+    /** Append a copy of `cell` to the flow's FIFO in the slab. */
+    void pushCell(PerFlow& st, const Cell& cell);
+
+    /** Unlink the flow's head cell, return it, and free its slab slot.
+        Requires !st.empty(). */
+    Cell popCell(PerFlow& st);
+
+    /** Remove slot `slot` from output `out`'s eligible list, keeping the
+        other entries in round-robin order. */
+    void dropEligible(PortId out, int32_t slot);
 
     /** Record one fewer cell for output j, keeping occ_ in sync. */
     void noteDequeued(PortId j);
@@ -167,6 +198,13 @@ class InputBuffer
     /** Per-flow state, append-only (flows are never removed, matching
         the paper's per-connection queue model). */
     std::vector<PerFlow> slots_;
+    /** Cell slab shared by every flow of this input. */
+    std::vector<Cell> cells_;
+    /** next_[k]: the slab index after k in its flow's FIFO or in the
+        free list; -1 ends either list. */
+    std::vector<int32_t> next_;
+    /** Head of the LIFO free list of slab slots; -1 = none free. */
+    int32_t free_ = -1;
     /**
      * Round-robin eligible list per output, holding slots_ *indices*
      * (not flow ids): serving an output is ring-pop + direct vector

@@ -34,10 +34,14 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
                     "frame schedule size does not match switch");
     }
     vbr_bufs_.reserve(static_cast<size_t>(config_.n));
-    cbr_bufs_.reserve(static_cast<size_t>(config_.n));
-    for (int i = 0; i < config_.n; ++i) {
+    for (int i = 0; i < config_.n; ++i)
         vbr_bufs_.emplace_back(config_.n);
-        cbr_bufs_.emplace_back(config_.n);
+    // CBR cells are only accepted under a frame schedule, so without one
+    // the CBR buffers would never be touched: build them only when used.
+    if (cbr_schedule_ != nullptr) {
+        cbr_bufs_.reserve(static_cast<size_t>(config_.n));
+        for (int i = 0; i < config_.n; ++i)
+            cbr_bufs_.emplace_back(config_.n);
     }
     if (config_.output_speedup > 1)
         out_queues_.resize(static_cast<size_t>(config_.n));
@@ -356,9 +360,9 @@ InputQueuedSwitch::fillOccupancy(int32_t* voq, int32_t* backlog) const
                                out_queues_[static_cast<size_t>(j)].size());
     for (PortId i = 0; i < n; ++i) {
         for (PortId j = 0; j < n; ++j) {
-            int32_t cells =
-                vbr_bufs_[static_cast<size_t>(i)].cellCountFor(j) +
-                cbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
+            int32_t cells = vbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
+            if (!cbr_bufs_.empty())
+                cells += cbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
             voq[static_cast<size_t>(i) * static_cast<size_t>(n) +
                 static_cast<size_t>(j)] = cells;
             backlog[j] += cells;
@@ -381,12 +385,9 @@ InputQueuedSwitch::bufferedCells() const
     int total = 0;
     for (const auto& b : vbr_bufs_)
         total += b.totalCells();
-    // CBR cells can only be accepted when a frame schedule is present,
-    // so the CBR buffers are provably empty otherwise (and this runs
-    // twice per slot on the conservation-check path).
-    if (cbr_schedule_ != nullptr)
-        for (const auto& b : cbr_bufs_)
-            total += b.totalCells();
+    // Empty (never built) without a frame schedule.
+    for (const auto& b : cbr_bufs_)
+        total += b.totalCells();
     for (const auto& q : out_queues_)
         total += q.size();
     return total;

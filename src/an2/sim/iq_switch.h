@@ -148,7 +148,7 @@ class InputQueuedSwitch final : public SwitchModel
     std::unique_ptr<Matcher> matcher_;
     const FrameSchedule* cbr_schedule_;
     std::vector<InputBuffer> vbr_bufs_;
-    std::vector<InputBuffer> cbr_bufs_;
+    std::vector<InputBuffer> cbr_bufs_;  ///< built only with a CBR schedule
     std::vector<OutputQueue> out_queues_;  ///< used when speedup > 1
     Crossbar crossbar_;
 

@@ -1,10 +1,14 @@
-// Tests for the queueing substrates: per-flow FIFOs, the random-access
-// input buffer with eligible-flow lists, and output queues.
+// Tests for the queueing substrates: the random-access input buffer
+// with per-flow FIFOs and eligible-flow lists, and output queues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+
 #include "an2/base/ring.h"
+#include "an2/base/rng.h"
 #include "an2/matching/wordset.h"
-#include "an2/queueing/flow_queue.h"
 #include "an2/queueing/output_queue.h"
 #include "an2/queueing/voq.h"
 
@@ -20,34 +24,6 @@ makeCell(FlowId flow, PortId input, PortId output, int64_t seq)
     c.output = output;
     c.seq = seq;
     return c;
-}
-
-// ----------------------------------------------------------- FlowQueue
-
-TEST(FlowQueueTest, FifoOrder)
-{
-    FlowQueue q;
-    for (int s = 0; s < 5; ++s)
-        q.push(makeCell(0, 0, 0, s));
-    EXPECT_EQ(q.size(), 5);
-    for (int s = 0; s < 5; ++s)
-        EXPECT_EQ(q.pop().seq, s);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(FlowQueueTest, FrontDoesNotPop)
-{
-    FlowQueue q;
-    q.push(makeCell(0, 0, 0, 7));
-    EXPECT_EQ(q.front().seq, 7);
-    EXPECT_EQ(q.size(), 1);
-}
-
-TEST(FlowQueueTest, EmptyAccessPanics)
-{
-    FlowQueue q;
-    EXPECT_THROW(q.front(), InternalError);
-    EXPECT_THROW(q.pop(), InternalError);
 }
 
 // ---------------------------------------------------------- InputBuffer
@@ -271,6 +247,323 @@ TEST(RingQueueTest, ClearResetsWithoutShrinking)
     EXPECT_TRUE(q.empty());
     q.push_back(42);
     EXPECT_EQ(q.front(), 42);
+}
+
+// -------------------------------------- InputBuffer differential model
+
+/**
+ * Reference model of the random-access input buffer's general path:
+ * one std::deque per queue key and, per output, a round-robin list of
+ * listed keys. dequeueFlow() leaves an emptied key listed (a stale
+ * entry); dequeueFor() discards stale entries as it meets them, serves
+ * the first live key and rotates it to the back while it stays
+ * non-empty. The real buffer's single-flow fast path and cell slab must
+ * be indistinguishable from this.
+ */
+class InputBufferModel
+{
+  public:
+    explicit InputBufferModel(int n_outputs)
+        : rr_(static_cast<size_t>(n_outputs))
+    {
+    }
+
+    /** Output key k is bound to, or kNoPort. */
+    PortId outputOf(FlowId k) const
+    {
+        auto it = flows_.find(k);
+        return it == flows_.end() ? kNoPort : it->second.output;
+    }
+
+    size_t lengthOf(FlowId k) const
+    {
+        auto it = flows_.find(k);
+        return it == flows_.end() ? 0 : it->second.cells.size();
+    }
+
+    /** Keys currently bound to output j. */
+    int boundKeys(PortId j) const
+    {
+        int n = 0;
+        for (const auto& kv : flows_)
+            n += kv.second.output == j ? 1 : 0;
+        return n;
+    }
+
+    void enqueueAs(FlowId k, const Cell& c)
+    {
+        Flow& f = flows_[k];
+        if (f.output == kNoPort)
+            f.output = c.output;
+        f.cells.push_back(c);
+        if (!f.listed) {
+            rr_[static_cast<size_t>(c.output)].push_back(k);
+            f.listed = true;
+        }
+    }
+
+    /** Serves output j; `stale` counts the stale entries skipped. */
+    Cell dequeueFor(PortId j, int* stale)
+    {
+        auto& list = rr_[static_cast<size_t>(j)];
+        while (true) {
+            FlowId k = list.front();
+            list.pop_front();
+            Flow& f = flows_[k];
+            if (f.cells.empty()) {
+                f.listed = false;
+                ++*stale;
+                continue;
+            }
+            Cell c = f.cells.front();
+            f.cells.pop_front();
+            if (!f.cells.empty())
+                list.push_back(k);
+            else
+                f.listed = false;
+            return c;
+        }
+    }
+
+    Cell dequeueFlow(FlowId k)
+    {
+        Flow& f = flows_[k];
+        Cell c = f.cells.front();
+        f.cells.pop_front();
+        return c;
+    }
+
+    void rebindFlow(FlowId k, PortId to)
+    {
+        auto it = flows_.find(k);
+        if (it == flows_.end())
+            return;
+        Flow& f = it->second;
+        if (f.output == kNoPort || f.output == to)
+            return;
+        unlist(k, f);
+        if (f.cells.empty()) {
+            f.output = kNoPort;
+            return;
+        }
+        for (Cell& c : f.cells)
+            c.output = to;
+        f.output = to;
+        rr_[static_cast<size_t>(to)].push_back(k);
+        f.listed = true;
+    }
+
+    int purgeFlow(FlowId k)
+    {
+        auto it = flows_.find(k);
+        if (it == flows_.end() || it->second.output == kNoPort)
+            return 0;
+        Flow& f = it->second;
+        unlist(k, f);
+        auto n = static_cast<int>(f.cells.size());
+        f.cells.clear();
+        f.output = kNoPort;
+        return n;
+    }
+
+    int cellCountFor(PortId j) const
+    {
+        int n = 0;
+        for (const auto& kv : flows_)
+            if (kv.second.output == j)
+                n += static_cast<int>(kv.second.cells.size());
+        return n;
+    }
+
+    int eligibleFlowsFor(PortId j) const
+    {
+        int n = 0;
+        for (FlowId k : rr_[static_cast<size_t>(j)])
+            if (!flows_.at(k).cells.empty())
+                ++n;
+        return n;
+    }
+
+    int total() const
+    {
+        int n = 0;
+        for (const auto& kv : flows_)
+            n += static_cast<int>(kv.second.cells.size());
+        return n;
+    }
+
+  private:
+    struct Flow
+    {
+        std::deque<Cell> cells;
+        PortId output = kNoPort;
+        bool listed = false;
+    };
+
+    void unlist(FlowId k, Flow& f)
+    {
+        if (!f.listed)
+            return;
+        auto& list = rr_[static_cast<size_t>(f.output)];
+        list.erase(std::find(list.begin(), list.end(), k));
+        f.listed = false;
+    }
+
+    std::map<FlowId, Flow> flows_;
+    std::vector<std::deque<FlowId>> rr_;
+};
+
+void
+expectSameCell(const Cell& got, const Cell& want)
+{
+    EXPECT_EQ(got.flow, want.flow);
+    EXPECT_EQ(got.output, want.output);
+    EXPECT_EQ(got.seq, want.seq);
+}
+
+TEST(InputBufferTest, MatchesReferenceModelOnRandomOperations)
+{
+    // Few outputs and a handful of keys, so outputs start single-flow
+    // and then gain further flows, and every operation meets queued
+    // cells often.
+    constexpr int kOutputs = 4;
+    constexpr int kKeys = 7;
+    int transitions = 0;       // a second flow binding to an output
+    int stale_skipped = 0;     // stale entries dequeueFor discarded
+    int deep_rebinds = 0;      // rebindFlow moving >= 2 cells
+    int rebound_after_purge = 0;
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        Xoshiro256 rng(seed);
+        InputBuffer buf(kOutputs);
+        InputBufferModel model(kOutputs);
+        std::map<FlowId, bool> purged;  // purged, not yet re-bound
+        int64_t next_seq = 0;
+        for (int op = 0; op < 3000; ++op) {
+            auto k = static_cast<FlowId>(rng.nextBelow(kKeys));
+            auto j = static_cast<PortId>(rng.nextBelow(kOutputs));
+            const size_t kind =
+                rng.pickWeighted(std::vector<int>{8, 4, 9, 2, 1, 1});
+            switch (kind) {
+            case 0:
+            case 1: {  // enqueue, or enqueueAs under a merged key
+                PortId out = model.outputOf(k);
+                if (out == kNoPort) {
+                    out = j;
+                    if (model.boundKeys(out) == 1)
+                        ++transitions;
+                    if (purged[k])
+                        ++rebound_after_purge;
+                    purged[k] = false;
+                }
+                Cell c = makeCell(k, 0, out, next_seq++);
+                if (kind == 0) {
+                    buf.enqueue(c);
+                } else {
+                    c.flow = 100 + k;  // the key, not the cell, picks the FIFO
+                    buf.enqueueAs(k, c);
+                }
+                model.enqueueAs(k, c);
+                break;
+            }
+            case 2:  // dequeueFor
+                if (model.cellCountFor(j) > 0)
+                    expectSameCell(buf.dequeueFor(j),
+                                   model.dequeueFor(j, &stale_skipped));
+                else
+                    EXPECT_FALSE(buf.hasCellFor(j));
+                break;
+            case 3:  // dequeueFlow: queue keys double as flow ids
+                if (model.lengthOf(k) > 0) {
+                    expectSameCell(buf.dequeueFlow(k), model.dequeueFlow(k));
+                } else {
+                    EXPECT_FALSE(buf.flowHasCell(k));
+                }
+                break;
+            case 4:  // rebindFlow
+                if (model.lengthOf(k) >= 2 && model.outputOf(k) != j)
+                    ++deep_rebinds;
+                model.rebindFlow(k, j);
+                buf.rebindFlow(k, j);
+                break;
+            case 5: {  // purgeFlow
+                const bool bound = model.outputOf(k) != kNoPort;
+                EXPECT_EQ(buf.purgeFlow(k), model.purgeFlow(k));
+                if (bound)
+                    purged[k] = true;
+                break;
+            }
+            }
+            ASSERT_EQ(buf.totalCells(), model.total())
+                << "seed " << seed << " op " << op;
+            for (PortId p = 0; p < kOutputs; ++p) {
+                ASSERT_EQ(buf.cellCountFor(p), model.cellCountFor(p))
+                    << "seed " << seed << " op " << op << " output " << p;
+                ASSERT_EQ(buf.eligibleFlowsFor(p), model.eligibleFlowsFor(p))
+                    << "seed " << seed << " op " << op << " output " << p;
+                ASSERT_EQ(wordset::testBit(buf.occupancyMask(), p),
+                          model.cellCountFor(p) > 0);
+            }
+        }
+        // Drain every output; the order must still agree.
+        for (PortId p = 0; p < kOutputs; ++p)
+            while (model.cellCountFor(p) > 0)
+                expectSameCell(buf.dequeueFor(p),
+                               model.dequeueFor(p, &stale_skipped));
+        EXPECT_EQ(buf.totalCells(), 0);
+    }
+    // The interesting paths were all exercised.
+    EXPECT_GT(transitions, 0);
+    EXPECT_GT(stale_skipped, 0);
+    EXPECT_GT(deep_rebinds, 0);
+    EXPECT_GT(rebound_after_purge, 0);
+}
+
+TEST(InputBufferTest, StaleSoleFlowKeepsItsSeatAcrossSecondBinding)
+{
+    // The sole flow of an output is emptied by dequeueFlow (its seat goes
+    // stale), a second flow binds, then the first refills: the stale
+    // seat still stands ahead of the newcomer, as on the general path.
+    InputBuffer buf(2);
+    buf.enqueue(makeCell(1, 0, 0, 0));
+    buf.dequeueFlow(1);
+    buf.enqueue(makeCell(2, 0, 0, 1));
+    buf.enqueue(makeCell(1, 0, 0, 2));
+    EXPECT_EQ(buf.dequeueFor(0).flow, 1);
+    EXPECT_EQ(buf.dequeueFor(0).flow, 2);
+}
+
+TEST(InputBufferTest, SlabStopsGrowingOnceOccupancyStopsRising)
+{
+    InputBuffer buf(8);
+    EXPECT_EQ(buf.cellCapacity(), 0);  // nothing reserved up front
+    buf.enqueue(makeCell(0, 0, 0, 0));
+    EXPECT_EQ(buf.cellCapacity(), 8);
+    buf.dequeueFor(0);
+
+    // Fill to 20 cells across many flows: the slab doubles to 32.
+    Xoshiro256 rng(7);
+    int64_t seq = 0;
+    for (int c = 0; c < 20; ++c) {
+        auto f = static_cast<FlowId>(rng.nextBelow(40));
+        buf.enqueue(makeCell(f, 0, f % 8, seq++));
+    }
+    EXPECT_EQ(buf.cellCapacity(), 32);
+
+    // Churn at or below that occupancy: freed slots are reused, so the
+    // slab never grows again.
+    for (int round = 0; round < 5000; ++round) {
+        auto j = static_cast<PortId>(rng.nextBelow(8));
+        if (buf.totalCells() >= 20 ||
+            (buf.hasCellFor(j) && rng.nextBernoulli(0.5))) {
+            while (!buf.hasCellFor(j))
+                j = (j + 1) % 8;
+            buf.dequeueFor(j);
+        } else {
+            auto f = static_cast<FlowId>(rng.nextBelow(40));
+            buf.enqueue(makeCell(f, 0, f % 8, seq++));
+        }
+        ASSERT_EQ(buf.cellCapacity(), 32) << "round " << round;
+    }
 }
 
 }  // namespace
